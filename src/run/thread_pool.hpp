@@ -12,6 +12,7 @@
 // new work is refused.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <deque>
 #include <functional>
@@ -58,9 +59,14 @@ class ThreadPool {
   std::future<std::invoke_result_t<std::decay_t<F>>> submit(F&& fn) {
     using R = std::invoke_result_t<std::decay_t<F>>;
     // shared_ptr because std::function requires copyable callables and
-    // std::packaged_task is move-only.
+    // std::packaged_task is move-only. The run counter is bumped inside
+    // the packaged call — on return or unwind, before packaged_task makes
+    // the future ready — so a caller woken by get() already sees it.
     auto task = std::make_shared<std::packaged_task<R()>>(
-        std::forward<F>(fn));
+        [this, f = std::decay_t<F>(std::forward<F>(fn))]() mutable -> R {
+          const CountRun counted{tasks_run_};
+          return f();
+        });
     std::future<R> result = task->get_future();
     enqueue([task] { (*task)(); });
     return result;
@@ -71,6 +77,12 @@ class ThreadPool {
   void shutdown();
 
  private:
+  /// Counts one finished task when it goes out of scope.
+  struct CountRun {
+    std::atomic<std::size_t>& runs;
+    ~CountRun() { runs.fetch_add(1); }
+  };
+
   void enqueue(std::function<void()> task);
   void worker_loop();
 
@@ -78,7 +90,7 @@ class ThreadPool {
   std::condition_variable work_available_;
   std::deque<std::function<void()>> queue_;
   std::vector<std::thread> workers_;
-  std::size_t tasks_run_ = 0;
+  std::atomic<std::size_t> tasks_run_{0};
   bool accepting_ = true;
 };
 

@@ -240,6 +240,11 @@ Trace make_mira_like(const MiraConfig& mc, std::uint64_t seed) {
   const std::vector<NodeCount> science_sizes = {1, 2, 4, 8};
   const std::vector<double> science_weights = {0.80, 0.12, 0.06, 0.02};
 
+  // Submit times are drawn uniformly within each phase, so jobs are
+  // collected and put in trace order once at the end rather than one
+  // out-of-order add_job at a time.
+  std::vector<Job> collected;
+  collected.reserve(mc.job_count);
   JobId next_id = 1;
   auto emit = [&](std::size_t count, TimeSec begin, TimeSec end,
                   const std::vector<NodeCount>& sizes,
@@ -269,7 +274,7 @@ Trace make_mira_like(const MiraConfig& mc, std::uint64_t seed) {
           mean_kw, power_sd, mc.min_kw_per_rack, mc.max_kw_per_rack);
       j.power_per_node = kw * 1000.0 / static_cast<double>(mc.nodes_per_rack);
       j.user = static_cast<int>(rng.uniform_int(0, 39));
-      out.add_job(j);
+      collected.push_back(j);
     }
   };
 
@@ -310,7 +315,8 @@ Trace make_mira_like(const MiraConfig& mc, std::uint64_t seed) {
                         science_weights, kSecondsPerMonth - split, sigma),
          sigma, /*power_sd=*/2.5);
   }
-  out.finalize();
+  std::stable_sort(collected.begin(), collected.end(), submit_id_less);
+  for (const Job& j : collected) out.add_job(j);
   return renumber(out);
 }
 

@@ -7,6 +7,11 @@
 
 namespace esched::trace {
 
+bool submit_id_less(const Job& a, const Job& b) {
+  if (a.submit != b.submit) return a.submit < b.submit;
+  return a.id < b.id;
+}
+
 Trace::Trace(std::string name, NodeCount system_nodes)
     : name_(std::move(name)), system_nodes_(system_nodes) {
   ESCHED_REQUIRE(system_nodes_ > 0, "trace system size must be positive");
@@ -22,19 +27,20 @@ void Trace::add_job(Job job) {
   ESCHED_REQUIRE(job.walltime > 0, "job walltime must be positive");
   ESCHED_REQUIRE(job.submit >= 0, "job submit time must be non-negative");
   ESCHED_REQUIRE(job.power_per_node >= 0.0, "job power must be non-negative");
-  const bool in_order =
-      jobs_.empty() || jobs_.back().submit < job.submit ||
-      (jobs_.back().submit == job.submit && jobs_.back().id < job.id);
-  jobs_.push_back(job);
-  if (!in_order) finalize();
+  // An out-of-order job goes after every job with an equal (submit, id)
+  // key: the position a stable re-sort of the appended vector would give
+  // it, without the O(n log n) sort.
+  if (jobs_.empty() || !submit_id_less(job, jobs_.back())) {
+    jobs_.push_back(job);
+  } else {
+    jobs_.insert(std::upper_bound(jobs_.begin(), jobs_.end(), job,
+                                  submit_id_less),
+                 job);
+  }
 }
 
 void Trace::finalize() {
-  std::stable_sort(jobs_.begin(), jobs_.end(),
-                   [](const Job& a, const Job& b) {
-                     if (a.submit != b.submit) return a.submit < b.submit;
-                     return a.id < b.id;
-                   });
+  std::stable_sort(jobs_.begin(), jobs_.end(), submit_id_less);
 }
 
 TimeSec Trace::first_submit() const {

@@ -10,6 +10,9 @@
 
 namespace esched::trace {
 
+/// The trace order: submit time, ties broken by id.
+bool submit_id_less(const Job& a, const Job& b);
+
 /// A workload trace. Jobs are kept sorted by submit time (ties broken by
 /// id); mutating accessors re-establish this ordering on demand.
 class Trace {
@@ -26,8 +29,12 @@ class Trace {
   /// Human-readable trace name (e.g. "ANL-BGP-like").
   const std::string& name() const { return name_; }
 
-  /// Append a job. Throws if the job requests more nodes than the system
-  /// has, has non-positive size/runtime, or a negative submit time.
+  /// Append a job, keeping (submit, id) order: an out-of-order job is
+  /// inserted after every job with an equal key, exactly where a stable
+  /// re-sort would put it. Expects the trace to be ordered already (call
+  /// finalize() after editing mutable_jobs()). Throws if the job requests
+  /// more nodes than the system has, has non-positive size/runtime, or a
+  /// negative submit time.
   void add_job(Job job);
 
   /// Sorts jobs by (submit, id). Idempotent.

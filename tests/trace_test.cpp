@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "trace/trace_stats.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace esched::trace {
 namespace {
@@ -24,7 +27,7 @@ Job make_job(JobId id, TimeSec submit, NodeCount nodes,
 TEST(TraceTest, AddJobKeepsSubmitOrder) {
   Trace t("test", 64);
   t.add_job(make_job(1, 100, 4, 60));
-  t.add_job(make_job(2, 50, 4, 60));   // out of order: triggers re-sort
+  t.add_job(make_job(2, 50, 4, 60));   // out of order: inserted in place
   t.add_job(make_job(3, 75, 4, 60));
   EXPECT_EQ(t.size(), 3u);
   EXPECT_EQ(t[0].id, 2);
@@ -39,6 +42,46 @@ TEST(TraceTest, TiesBreakById) {
   t.add_job(make_job(2, 100, 1, 60));
   EXPECT_EQ(t[0].id, 2);
   EXPECT_EQ(t[1].id, 9);
+}
+
+TEST(TraceTest, OutOfOrderJobGoesAfterEveryEqualKey) {
+  // Duplicate (submit, id) keys, told apart by runtime: an out-of-order
+  // job lands after all jobs with its key, as a stable re-sort of the
+  // appended sequence would place it.
+  Trace t("test", 64);
+  t.add_job(make_job(5, 100, 1, 60));
+  t.add_job(make_job(5, 100, 1, 61));
+  t.add_job(make_job(7, 200, 1, 60));
+  t.add_job(make_job(5, 100, 1, 62));  // out of order, equal key
+  t.add_job(make_job(5, 100, 1, 63));  // out of order again
+  t.add_job(make_job(3, 100, 1, 64));  // before every id-5 job
+  ASSERT_EQ(t.size(), 6u);
+  const std::vector<DurationSec> runtimes = {64, 60, 61, 62, 63, 60};
+  const std::vector<JobId> ids = {3, 5, 5, 5, 5, 7};
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    EXPECT_EQ(t[i].runtime, runtimes[i]) << "position " << i;
+    EXPECT_EQ(t[i].id, ids[i]) << "position " << i;
+  }
+}
+
+TEST(TraceTest, AddJobMatchesAStableSortOfTheAppendSequence) {
+  // Many keys drawn from a tiny range, so duplicates of (submit, id) are
+  // common; the reference is the whole sequence stable-sorted once.
+  Rng rng(17);
+  Trace incremental("test", 64);
+  Trace reference("test", 64);
+  for (int i = 0; i < 400; ++i) {
+    const Job j = make_job(rng.uniform_int(1, 6), rng.uniform_int(0, 9) * 10,
+                           1, 60 + i);
+    incremental.add_job(j);
+    reference.mutable_jobs().push_back(j);
+  }
+  reference.finalize();
+  ASSERT_EQ(incremental.size(), reference.size());
+  for (std::size_t i = 0; i < reference.size(); ++i) {
+    EXPECT_EQ(incremental[i].runtime, reference[i].runtime)
+        << "position " << i;
+  }
 }
 
 TEST(TraceTest, RejectsInvalidJobs) {
