@@ -17,7 +17,7 @@ namespace esched::meta {
 namespace {
 
 /// Per-center tracer tracks sit above the supervisor ranges used by
-/// run/proc (worker lifetimes) and net/distributed (agent sessions), so
+/// run/proc (worker lifetimes) and net/fleet (agent sessions), so
 /// a traced multi-center sweep shows one row per center.
 constexpr std::uint32_t kCenterTrackBase = 9100;
 

@@ -1,30 +1,26 @@
 // The multi-machine twin of run::SubprocessPool: fan sweep cells out to
-// esched-agentd processes over TCP.
+// esched-agentd processes over TCP, one sweep per run().
 //
-// One DistributedPool drives N agents from a single-threaded poll()
-// loop, exactly like the subprocess supervisor drives worker pipes — no
-// locks, no signal handlers (SIGPIPE ignored for the duration of run()).
-// The failure model *is* the supervisor's, extended for a transport that
-// can lie in more ways, and shares its implementation (run/endpoint.hpp:
-// TaskLedger, FrameAssembler, Endpoint) rather than duplicating it:
+// The agent fleet itself — connect/backoff, the kHello/kWelcome
+// handshake, heartbeats, per-slot deadlines, frame classification and
+// liveness — is net::AgentFleet (net/fleet.hpp), the state machine
+// svc::Coordinator drives too. DistributedPool adds what is specific to
+// one sweep run:
 //
-//  * Agent death — EOF, read/write errors, a failed reconnect — requeues
-//    every in-flight cell of that agent onto the surviving ones, then
-//    reconnects with capped exponential backoff; an agent that fails
-//    `connect_attempts` consecutive connects is abandoned. The sweep
-//    fails only when *no* usable agent remains.
-//  * Heartbeats — kPing every heartbeat_interval_seconds; an agent that
-//    leaves `heartbeat_misses` pings unanswered is declared dead even if
-//    the TCP connection still looks open (half-open connections, frozen
-//    agents).
-//  * Per-task wall-clock timeouts — a cell can't be killed remotely, so
-//    an expired deadline retires the whole connection: requeue, close,
-//    reconnect (the agent drops orphaned results on its side).
-//  * Protocol corruption (bad frame, CRC mismatch, an answer for a task
-//    the agent doesn't hold) retires the connection the same way.
-//  * kFail frames (transient failure at the agent, e.g. its esched-worker
-//    died) requeue just that attempt; kError frames are deterministic
-//    failures and fail the sweep fast, exactly like the subprocess pool.
+//  * The attempt budget: a run::TaskLedger shared with the subprocess
+//    pool (run/endpoint.hpp). A lost connection — EOF, a read/write
+//    error, protocol corruption, missed heartbeats, an expired task
+//    deadline — charges each of that agent's in-flight cells one attempt
+//    and requeues it onto the survivors; a kFail charges just that
+//    attempt. kError is a deterministic failure and fails the sweep fast,
+//    exactly like the subprocess pool.
+//  * The abandon rule: an agent that fails `connect_attempts` connects in
+//    a row is given up on for the rest of the run (the coordinator
+//    instead reconnects forever). The sweep fails only when *no* usable
+//    agent remains. Connections are opened per run and closed before
+//    run() returns or throws (SIGPIPE ignored for its duration).
+//  * cell_key dedup, tracer spans per remote cell, progress callbacks and
+//    SweepStats.
 //
 // Determinism: cells are rebuilt from declarative JobSpecs by whichever
 // agent runs them, results are stored by submission index, and retried
@@ -38,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "net/fleet.hpp"
 #include "net/socket.hpp"
 #include "run/spec.hpp"
 #include "run/sweep.hpp"
@@ -50,9 +47,10 @@ class Tracer;
 
 namespace esched::net {
 
-/// Coordinator knobs. The defaults match the bench CLI defaults
-/// (bench/common.cpp) so drivers and tests agree on behaviour.
-struct DistributedPoolConfig {
+/// Per-run knobs. The defaults match the bench CLI defaults
+/// (bench/common.cpp) so drivers and tests agree on behaviour; the
+/// supervision timing is inherited from FleetTiming.
+struct DistributedPoolConfig : FleetTiming {
   /// Agent addresses (host:port). Must be non-empty for run().
   std::vector<HostPort> agents;
   /// Attempt budget per task (first run + retries). Must be >= 1.
@@ -61,19 +59,6 @@ struct DistributedPoolConfig {
   /// min(backoff_max_seconds, backoff_initial_seconds * 2^(k-1)).
   double backoff_initial_seconds = 0.05;
   double backoff_max_seconds = 2.0;
-  /// Per-task wall-clock timeout; expiry retires the agent connection
-  /// and requeues its in-flight cells. 0 disables the timeout.
-  double task_timeout_seconds = 0.0;
-  /// TCP connect + handshake deadline per attempt.
-  double connect_timeout_seconds = 5.0;
-  /// kPing cadence per connected agent.
-  double heartbeat_interval_seconds = 1.0;
-  /// Unanswered pings before the agent is declared dead.
-  std::uint32_t heartbeat_misses = 3;
-  /// Reconnect backoff: initial delay, doubled per consecutive failure,
-  /// capped at the max.
-  double reconnect_initial_seconds = 0.1;
-  double reconnect_max_seconds = 2.0;
   /// Consecutive failed connect attempts before an agent is abandoned
   /// for the rest of the run (a successful handshake resets the count).
   std::uint32_t connect_attempts = 5;
@@ -138,7 +123,7 @@ class DistributedPool {
   /// spans stitch under the coordinator's dispatch spans. Non-owning;
   /// must outlive run(). Telemetry never affects results: SimResult
   /// bytes are identical with it on or off.
-  void set_telemetry(obs::FleetAggregator* fleet) { fleet_ = fleet; }
+  void set_telemetry(obs::FleetAggregator* fleet) { telemetry_ = fleet; }
 
   const DistributedPoolConfig& config() const { return config_; }
 
@@ -147,7 +132,7 @@ class DistributedPool {
   run::SweepStats stats_;
   run::ProgressCallback progress_;
   obs::Tracer* tracer_ = nullptr;
-  obs::FleetAggregator* fleet_ = nullptr;
+  obs::FleetAggregator* telemetry_ = nullptr;
 };
 
 }  // namespace esched::net

@@ -1,11 +1,12 @@
 // The failure model shared by every sweep transport.
 //
-// PR 3's subprocess supervisor (run/proc.hpp) and the TCP coordinator
-// (net/distributed.hpp) face the same problem shape: task attempts are
-// dispatched to *endpoints* — a worker pipe, an agent connection — that
-// can die mid-answer, answer garbage, or hang; failed attempts must be
-// requeued with capped exponential backoff under a per-task budget; and
-// inbound bytes arrive in arbitrary chunks that must be reassembled into
+// The subprocess supervisor (run/proc.hpp) and the TCP agent fleet
+// (net/fleet.hpp, driven by net::DistributedPool and svc::Coordinator)
+// face the same problem shape: task attempts are dispatched to
+// *endpoints* — a worker pipe, an agent connection — that can die
+// mid-answer, answer garbage, or hang; failed attempts must be requeued
+// with capped exponential backoff under a per-task budget; and inbound
+// bytes arrive in arbitrary chunks that must be reassembled into
 // CRC-verified frames before anything trusts them. This header holds the
 // one implementation of each of those pieces, so the proc and tcp paths
 // classify failures identically instead of drifting apart:
@@ -151,8 +152,8 @@ class TaskLedger {
 };
 
 /// The in-flight bookkeeping common to every transport slot: one worker
-/// pipe (run/proc) or one remote agent slot (net/distributed) holds at
-/// most one task attempt with an optional wall-clock deadline.
+/// pipe (run/proc) or one remote agent slot (net/fleet) holds at most
+/// one task attempt with an optional wall-clock deadline.
 struct Endpoint {
   std::size_t task = kNoTask;  ///< in-flight task, kNoTask when idle
   std::uint32_t attempt = 0;   ///< attempt number of the in-flight task

@@ -71,10 +71,11 @@ struct LatencyStats {
 /// Nearest-rank quantiles of `seconds` (consumed; sorted internally).
 LatencyStats latency_stats(std::vector<double> seconds);
 
-/// One remote agent's health as the fleet coordinator last saw it
-/// (net/distributed.hpp, svc/coordinator.hpp). The state machine is
-/// driven by kPing/kPong: "alive" = connected with every ping answered,
-/// "suspect" = connected but at least one ping unanswered, "dead" =
+/// One remote agent's health as net::AgentFleet (net/fleet.hpp) last saw
+/// it, for DistributedPool and svc::Coordinator alike. The state machine is
+/// driven by kPing/kPong: "alive" = connected with every ping but the
+/// latest answered, "suspect" = connected with a heartbeat missed (a ping
+/// unanswered for a whole interval), "dead" =
 /// abandoned (connect budget spent or permanent rejection),
 /// "connecting" = between connections (backoff/connect/handshake).
 struct AgentLiveness {

@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cmath>
-#include <cstdio>
 #include <cstring>
+#include <optional>
 #include <set>
 #include <utility>
 
@@ -38,12 +37,6 @@ void publish_journal_hits() {
       .set(static_cast<double>(reg.counter("svc.journal_hits").value()));
 }
 
-std::string format_seconds(double s) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%g", s);
-  return buf;
-}
-
 std::string join_failures(const std::vector<std::string>& lines) {
   std::string out;
   for (std::size_t i = 0; i < lines.size(); ++i) {
@@ -60,7 +53,8 @@ Clock::time_point after(Clock::time_point now, double seconds) {
 }  // namespace
 
 Coordinator::Coordinator(CoordinatorConfig config)
-    : config_(std::move(config)) {
+    : config_(std::move(config)),
+      fleet_(config_.agents, config_, config_.token, *this) {
   ESCHED_REQUIRE(config_.max_attempts >= 1,
                  "esched-coordinator: max_attempts must be >= 1");
   ESCHED_REQUIRE(!config_.agents.empty(),
@@ -91,14 +85,8 @@ std::uint16_t Coordinator::start() {
                   store_[record.cell_key] = record.result_bytes;
                 });
   listener_ = net::listen_tcp(config_.bind_host, config_.port);
-  const Clock::time_point now = Clock::now();
-  started_at_ = now;
-  agents_.resize(config_.agents.size());
-  for (std::size_t i = 0; i < agents_.size(); ++i) {
-    agents_[i].addr = config_.agents[i];
-    agents_[i].retry_at = now;  // connect immediately
-    agents_[i].backoff_seconds = config_.reconnect_initial_seconds;
-  }
+  started_at_ = Clock::now();
+  fleet_.start(started_at_);
   return net::local_port(listener_.get());
 }
 
@@ -111,23 +99,11 @@ void Coordinator::serve() {
 
 void Coordinator::step() {
   Clock::time_point now = Clock::now();
+  fleet_.advance(now);
+  fleet_.dispatch(now);
 
-  for (std::size_t i = 0; i < agents_.size(); ++i) {
-    Agent& a = agents_[i];
-    if (a.state == Agent::State::kBackoff && now >= a.retry_at) {
-      start_connect(i, now);
-    } else if ((a.state == Agent::State::kConnecting ||
-                a.state == Agent::State::kHandshaking) &&
-               now >= a.connect_deadline) {
-      agent_backoff(i,
-                    a.state == Agent::State::kConnecting
-                        ? "connect timed out"
-                        : "handshake timed out",
-                    now);
-    }
-  }
-  assign_ready(now);
-
+  // The listener, then clients (refs index the prefix), then the
+  // fleet's and the HTTP server's fds, each dispatched by its owner.
   std::vector<struct pollfd> fds;
   std::vector<std::uint64_t> refs;
   fds.push_back({listener_.get(), POLLIN, 0});
@@ -140,21 +116,7 @@ void Coordinator::step() {
     fds.push_back({client.conn.fd(), static_cast<short>(events), 0});
     refs.push_back(id);
   }
-  for (std::size_t i = 0; i < agents_.size(); ++i) {
-    Agent& a = agents_[i];
-    if (a.state == Agent::State::kConnecting) {
-      fds.push_back({a.conn->fd(), POLLOUT, 0});
-    } else if (a.connected()) {
-      const short events =
-          static_cast<short>(POLLIN | (a.conn->wants_write() ? POLLOUT : 0));
-      fds.push_back({a.conn->fd(), events, 0});
-    } else {
-      continue;
-    }
-    refs.push_back(~static_cast<std::uint64_t>(i));
-  }
-  // HTTP fds ride the same poll() but are dispatched by fd ownership,
-  // not by ref — they live past the refs-indexed prefix.
+  fleet_.add_poll_fds(fds);
   http_.register_fds(fds);
 
   const int rc = ::poll(fds.data(), static_cast<nfds_t>(fds.size()),
@@ -167,80 +129,30 @@ void Coordinator::step() {
     http_.on_poll(fds.data(), fds.size());
     for (std::size_t k = 0; k < refs.size(); ++k) {
       if (fds[k].revents == 0) continue;
-      const std::uint64_t ref = refs[k];
-      now = Clock::now();
       if (k == 0) {
         accept_clients();
-      } else if (ref > clients_watermark_) {
-        const std::size_t i = static_cast<std::size_t>(~ref);
-        Agent& a = agents_[i];
-        if (a.state == Agent::State::kConnecting) {
-          if ((fds[k].revents & (POLLOUT | POLLHUP | POLLERR)) != 0) {
-            on_agent_connect_writable(i, now);
-          }
-          continue;
-        }
-        if (!a.connected()) continue;
-        if ((fds[k].revents & POLLOUT) != 0 && !a.conn->flush()) {
-          connection_lost(
-              i, "agent " + a.addr.text() + ": send failed (connection lost)",
-              now);
-          continue;
-        }
-        if ((fds[k].revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
-          on_agent_readable(i, now);
-        }
-      } else if (clients_.count(ref) != 0) {
-        on_client_event(ref, fds[k].revents);
+      } else if (clients_.count(refs[k]) != 0) {
+        on_client_event(refs[k], fds[k].revents);
       }
     }
+    fleet_.on_poll(fds.data());
   }
 
   now = Clock::now();
-  check_task_deadlines(now);
-  check_heartbeats(now);
+  fleet_.check_timers(now);
   reap_closed();
 }
 
 int Coordinator::next_timeout_ms(Clock::time_point now) const {
-  bool have = false;
-  Clock::time_point nearest{};
-  const auto consider = [&](Clock::time_point tp) {
-    if (!have || tp < nearest) {
-      nearest = tp;
-      have = true;
-    }
-  };
-  for (const Agent& a : agents_) {
-    switch (a.state) {
-      case Agent::State::kBackoff:
-        consider(a.retry_at);
-        break;
-      case Agent::State::kConnecting:
-      case Agent::State::kHandshaking:
-        consider(a.connect_deadline);
-        break;
-      case Agent::State::kReady:
-        consider(a.next_ping);
-        for (const run::Endpoint& ep : a.slots) {
-          if (ep.busy() && ep.has_deadline) consider(ep.deadline);
-        }
-        break;
-      case Agent::State::kRejected:
-        break;
-    }
-  }
+  std::optional<Clock::time_point> wake = fleet_.next_wakeup();
   for (const std::string& key : pending_) {
     const auto it = cells_.find(key);
-    if (it != cells_.end() && !it->second.in_flight) {
-      consider(it->second.ready_at);
+    if (it != cells_.end() && !it->second.in_flight &&
+        (!wake || it->second.ready_at < *wake)) {
+      wake = it->second.ready_at;
     }
   }
-  if (!have) return 60000;
-  const double sec = std::chrono::duration<double>(nearest - now).count();
-  if (sec <= 0.0) return 0;
-  const double ms = std::ceil(sec * 1000.0);
-  return ms > 60000.0 ? 60000 : static_cast<int>(ms);
+  return net::poll_timeout_ms(now, wake);
 }
 
 // ---- clients ----------------------------------------------------------
@@ -353,13 +265,7 @@ void Coordinator::on_client_hello(std::uint64_t id,
   }
   net::Welcome welcome;
   welcome.protocol = net::kNetProtocolVersion;
-  std::uint32_t slots = 0;
-  for (const Agent& a : agents_) {
-    if (a.state == Agent::State::kReady) {
-      slots += static_cast<std::uint32_t>(a.slots.size());
-    }
-  }
-  welcome.slots = slots;
+  welcome.slots = static_cast<std::uint32_t>(fleet_.ready_slots());
   client.handshaken = true;
   if (!client.conn.send(wire::encode_frame(wire::FrameType::kWelcome, 0, 0,
                                            net::encode_welcome(welcome)))) {
@@ -585,32 +491,6 @@ void Coordinator::reap_closed() {
 
 // ---- work management --------------------------------------------------
 
-void Coordinator::assign_ready(Clock::time_point now) {
-  for (std::size_t i = 0; i < agents_.size() && !pending_.empty(); ++i) {
-    Agent& a = agents_[i];
-    if (a.state != Agent::State::kReady) continue;
-    for (run::Endpoint& ep : a.slots) {
-      if (ep.busy()) continue;
-      const std::string key = claim_ready(now);
-      if (key.empty()) return;  // nothing dispatchable right now
-      Cell& cell = cells_.at(key);
-      const std::uint32_t attempt = cell.attempts++;
-      const std::uint32_t dispatch = next_dispatch_++;
-      cell.in_flight = true;
-      in_flight_[dispatch] = key;
-      ep.begin(dispatch, attempt, now, config_.task_timeout_seconds);
-      bump("svc.cells_dispatched");
-      if (!a.conn->send(wire::encode_frame(wire::FrameType::kJob, dispatch,
-                                           attempt, cell.payload))) {
-        connection_lost(i, "agent " + a.addr.text() +
-                               ": send failed (connection lost)",
-                        now);
-        break;  // a.slots is gone; next agent
-      }
-    }
-  }
-}
-
 /// Pop the first pending cell whose backoff elapsed, skipping (and
 /// discarding) stale queue entries for cells that completed or failed
 /// while queued.
@@ -668,29 +548,6 @@ void Coordinator::complete_cell(const std::string& key,
   }
 }
 
-void Coordinator::requeue_cell(std::uint32_t task, const std::string& reason,
-                               Clock::time_point now) {
-  const auto flight = in_flight_.find(task);
-  if (flight == in_flight_.end()) return;
-  const std::string key = flight->second;
-  in_flight_.erase(flight);
-  const auto it = cells_.find(key);
-  if (it == cells_.end()) return;
-  Cell& cell = it->second;
-  cell.in_flight = false;
-  cell.failures.push_back("attempt " + std::to_string(cell.attempts) + ": " +
-                          reason);
-  bump("svc.cells_requeued");
-  if (cell.attempts >= config_.max_attempts) {
-    fail_cell(key, "sweep cell \"" + cell.label + "\" failed after " +
-                       std::to_string(cell.attempts) + " attempt(s): " +
-                       join_failures(cell.failures));
-    return;
-  }
-  cell.ready_at = after(now, retry_.backoff_seconds(cell.attempts));
-  pending_.push_back(key);
-}
-
 /// Deterministic failure or attempt-budget exhaustion: every sweep
 /// waiting on this cell fails (the in-process pools fail the whole sweep
 /// on the same conditions), other sweeps are untouched.
@@ -706,374 +563,73 @@ void Coordinator::fail_cell(const std::string& key,
   for (const std::string& sweep_id : affected) fail_sweep(sweep_id, message);
 }
 
-// ---- fleet lifecycle --------------------------------------------------
+// ---- the fleet's owner hooks -------------------------------------------
 
-void Coordinator::start_connect(std::size_t index, Clock::time_point now) {
-  Agent& a = agents_[index];
-  std::string error;
-  net::Fd fd = net::connect_tcp_start(a.addr, error);
-  if (!fd.valid()) {
-    agent_backoff(index, error, now);
+bool Coordinator::claim(Clock::time_point now, Job& job) {
+  const std::string key = claim_ready(now);
+  if (key.empty()) return false;
+  Cell& cell = cells_.at(key);
+  const std::uint32_t dispatch = next_dispatch_++;
+  cell.in_flight = true;
+  in_flight_[dispatch] = key;
+  bump("svc.cells_dispatched");
+  job.task = dispatch;
+  job.attempt = cell.attempts++;
+  job.payload = &cell.payload;
+  return true;
+}
+
+std::string Coordinator::on_result(std::size_t /*agent*/,
+                                   const run::Endpoint& slot,
+                                   std::vector<std::uint8_t>& body,
+                                   Clock::time_point /*now*/) {
+  const std::uint32_t dispatch = static_cast<std::uint32_t>(slot.task);
+  const auto flight = in_flight_.find(dispatch);
+  if (flight == in_flight_.end()) return "answer for an unknown dispatch";
+  // Stored and journaled *verbatim* (the CRC already vouched for the
+  // bytes): decoding and re-encoding could only risk the byte-identity
+  // the journal promises.
+  const std::string key = flight->second;
+  in_flight_.erase(flight);
+  complete_cell(key, std::move(body), dispatch, slot.attempt);
+  return {};
+}
+
+void Coordinator::on_requeue(std::size_t task, const std::string& reason,
+                             Clock::time_point now) {
+  const auto flight = in_flight_.find(static_cast<std::uint32_t>(task));
+  if (flight == in_flight_.end()) return;
+  const std::string key = flight->second;
+  in_flight_.erase(flight);
+  const auto it = cells_.find(key);
+  if (it == cells_.end()) return;
+  Cell& cell = it->second;
+  cell.in_flight = false;
+  cell.failures.push_back("attempt " + std::to_string(cell.attempts) + ": " +
+                          reason);
+  if (cell.attempts >= config_.max_attempts) {
+    fail_cell(key, "sweep cell \"" + cell.label + "\" failed after " +
+                       std::to_string(cell.attempts) + " attempt(s): " +
+                       join_failures(cell.failures));
     return;
   }
-  a.conn.emplace(std::move(fd));
-  a.state = Agent::State::kConnecting;
-  a.connect_deadline = after(now, config_.connect_timeout_seconds);
+  cell.ready_at = after(now, retry_.backoff_seconds(cell.attempts));
+  pending_.push_back(key);
 }
 
-void Coordinator::on_agent_connect_writable(std::size_t index,
-                                            Clock::time_point now) {
-  Agent& a = agents_[index];
-  std::string error;
-  if (!net::connect_tcp_finish(a.conn->fd(), error)) {
-    agent_backoff(index, error, now);
-    return;
-  }
-  net::Hello hello;
-  hello.protocol = net::kNetProtocolVersion;
-  hello.token = config_.token;
-  if (!a.conn->send(wire::encode_frame(wire::FrameType::kHello, 0, 0,
-                                       net::encode_hello(hello)))) {
-    agent_backoff(index, "send failed during handshake", now);
-    return;
-  }
-  a.state = Agent::State::kHandshaking;
-}
-
-void Coordinator::on_agent_readable(std::size_t index,
-                                    Clock::time_point now) {
-  Agent& a = agents_[index];
-  const net::FrameConn::ReadStatus status = a.conn->fill();
-  if (status == net::FrameConn::ReadStatus::kError) {
-    connection_lost(index,
-                    "agent " + a.addr.text() + ": read failed (" +
-                        std::string(std::strerror(errno)) + ")",
-                    now);
-    return;
-  }
-  process_agent_frames(index, now);
-  if (!a.connected()) return;
-  if (status == net::FrameConn::ReadStatus::kClosed) {
-    if (a.state == Agent::State::kHandshaking) {
-      agent_backoff(index, "agent closed connection during handshake", now);
-    } else {
-      connection_lost(index,
-                      "agent " + a.addr.text() + ": closed connection" +
-                          (a.conn->frames().mid_frame() ? " mid-frame" : ""),
-                      now);
-    }
-  }
-}
-
-void Coordinator::process_agent_frames(std::size_t index,
-                                       Clock::time_point now) {
-  Agent& a = agents_[index];
-  while (a.connected()) {
-    wire::FrameHeader header;
-    std::vector<std::uint8_t> body;
-    std::string corrupt;
-    const run::FrameAssembler::Status status =
-        a.conn->frames().next(header, body, corrupt);
-    if (status == run::FrameAssembler::Status::kNeedMore) return;
-    if (status == run::FrameAssembler::Status::kCorrupt) {
-      connection_lost(index,
-                      "agent " + a.addr.text() + ": protocol corruption (" +
-                          corrupt + ")",
-                      now);
-      return;
-    }
-    if (a.state == Agent::State::kHandshaking) {
-      on_agent_handshake_frame(index, header, body, now);
-    } else {
-      on_agent_session_frame(index, header, body, now);
-    }
-  }
-}
-
-void Coordinator::on_agent_handshake_frame(
-    std::size_t index, const wire::FrameHeader& header,
-    const std::vector<std::uint8_t>& body, Clock::time_point now) {
-  Agent& a = agents_[index];
-  if (header.type == wire::FrameType::kError) {
-    std::string message;
-    try {
-      message = wire::decode_error(body);
-    } catch (const Error&) {
-      message = "(undecodable error payload)";
-    }
-    // Version or auth mismatch: the agent will never accept us.
-    agent_rejected(index, "agent " + a.addr.text() +
-                              " rejected handshake: " + message);
-    return;
-  }
-  if (header.type != wire::FrameType::kWelcome) {
-    connection_lost(index,
-                    "agent " + a.addr.text() +
-                        ": unexpected frame before kWelcome",
-                    now);
-    return;
-  }
-  net::Welcome welcome;
-  try {
-    welcome = net::decode_welcome(body);
-  } catch (const Error& e) {
-    connection_lost(index,
-                    "agent " + a.addr.text() + ": protocol corruption (" +
-                        std::string(e.what()) + ")",
-                    now);
-    return;
-  }
-  if (welcome.protocol != net::kNetProtocolVersion) {
-    agent_rejected(index,
-                   "protocol version mismatch (coordinator=" +
-                       std::to_string(net::kNetProtocolVersion) +
-                       ", agent=" + std::to_string(welcome.protocol) + ")");
-    return;
-  }
-  a.state = Agent::State::kReady;
-  a.slots.assign(std::max<std::uint32_t>(1, welcome.slots), run::Endpoint{});
-  a.backoff_seconds = config_.reconnect_initial_seconds;
-  a.ping_seq = 0;
-  a.pings_unanswered = 0;
-  a.last_pong = now;
-  a.ever_ponged = true;
-  a.next_ping = after(now, config_.heartbeat_interval_seconds);
-  bump("svc.agent_connects");
-  obs::log_debug("svc.coordinator", "agent ready",
-                 {{"addr", a.addr.text()}, {"slots", a.slots.size()}});
-}
-
-void Coordinator::on_agent_session_frame(std::size_t index,
-                                         const wire::FrameHeader& header,
-                                         const std::vector<std::uint8_t>& body,
-                                         Clock::time_point now) {
-  Agent& a = agents_[index];
-  if (header.type == wire::FrameType::kPong) {
-    a.pings_unanswered = 0;
-    a.last_pong = now;
-    return;
-  }
-  if (header.type == wire::FrameType::kTelemetry) {
-    return;  // no fleet aggregator in the daemon (yet); advisory, drop
-  }
-  run::Endpoint* ep = find_endpoint(a, header);
-  if (ep == nullptr) {
-    connection_lost(index,
-                    "agent " + a.addr.text() +
-                        ": answer for a task this agent does not hold",
-                    now);
-    return;
-  }
-  switch (header.type) {
-    case wire::FrameType::kResult: {
-      // Stored and journaled *verbatim* (the CRC already vouched for the
-      // bytes): decoding and re-encoding could only risk the
-      // byte-identity the journal promises.
-      const std::uint32_t task = static_cast<std::uint32_t>(ep->task);
-      const std::uint32_t attempt = ep->attempt;
-      const auto flight = in_flight_.find(task);
-      if (flight == in_flight_.end()) {
-        connection_lost(index,
-                        "agent " + a.addr.text() +
-                            ": answer for an unknown dispatch",
-                        now);
-        return;
-      }
-      const std::string key = flight->second;
-      in_flight_.erase(flight);
-      ep->clear();
-      complete_cell(key, body, task, attempt);
-      return;
-    }
-    case wire::FrameType::kError: {
-      std::string message;
-      try {
-        message = wire::decode_error(body);
-      } catch (const Error&) {
-        message = "(undecodable error payload)";
-      }
-      const std::uint32_t task = static_cast<std::uint32_t>(ep->task);
-      const auto flight = in_flight_.find(task);
-      ep->clear();
-      if (flight != in_flight_.end()) {
-        const std::string key = flight->second;
-        in_flight_.erase(flight);
-        const auto cell = cells_.find(key);
-        const std::string label =
-            cell != cells_.end() ? cell->second.label : key;
-        // Deterministic failure: retrying reruns the same simulation.
-        fail_cell(key, "sweep cell \"" + label + "\" failed: " + message);
-      }
-      return;
-    }
-    case wire::FrameType::kFail: {
-      std::string reason;
-      try {
-        reason = wire::decode_error(body);
-      } catch (const Error&) {
-        reason = "(undecodable failure payload)";
-      }
-      const std::uint32_t task = static_cast<std::uint32_t>(ep->task);
-      ep->clear();
-      requeue_cell(task, "agent " + a.addr.text() + ": " + reason, now);
-      return;
-    }
-    default:
-      connection_lost(index,
-                      "agent " + a.addr.text() +
-                          ": unexpected frame type in session",
-                      now);
-      return;
-  }
-}
-
-run::Endpoint* Coordinator::find_endpoint(Agent& agent,
-                                          const wire::FrameHeader& header) {
-  for (run::Endpoint& ep : agent.slots) {
-    if (ep.busy() && ep.task == header.task_id &&
-        ep.attempt == header.attempt) {
-      return &ep;
-    }
-  }
-  return nullptr;
-}
-
-/// Pre-handshake failure: back off and retry forever (a daemon never
-/// abandons a configured agent on connect failures — the fleet is
-/// expected to come and go).
-void Coordinator::agent_backoff(std::size_t index, const std::string& error,
-                                Clock::time_point now) {
-  Agent& a = agents_[index];
-  a.conn.reset();
-  a.last_error = error;
-  a.state = Agent::State::kBackoff;
-  a.retry_at = after(now, a.backoff_seconds);
-  a.backoff_seconds =
-      std::min(config_.reconnect_max_seconds, a.backoff_seconds * 2.0);
-}
-
-void Coordinator::agent_rejected(std::size_t index,
-                                 const std::string& error) {
-  Agent& a = agents_[index];
-  obs::log_error("svc.coordinator", "abandoning agent",
-                 {{"addr", a.addr.text()}, {"reason", error}});
-  a.conn.reset();
-  a.last_error = error;
-  a.state = Agent::State::kRejected;
-  // Work already in flight on this agent is gone; requeue it.
-  for (run::Endpoint& ep : a.slots) {
-    if (!ep.busy()) continue;
-    const std::uint32_t task = static_cast<std::uint32_t>(ep.task);
-    ep.clear();
-    requeue_cell(task, error, Clock::now());
-  }
-  a.slots.clear();
-}
-
-void Coordinator::connection_lost(std::size_t index,
-                                  const std::string& reason,
-                                  Clock::time_point now) {
-  Agent& a = agents_[index];
-  obs::log_debug("svc.coordinator", "agent connection lost",
-                 {{"addr", a.addr.text()}, {"reason", reason}});
-  a.conn.reset();
-  a.last_error = reason;
-  a.state = Agent::State::kBackoff;
-  a.retry_at = after(now, a.backoff_seconds);
-  a.backoff_seconds =
-      std::min(config_.reconnect_max_seconds, a.backoff_seconds * 2.0);
-  bump("svc.agent_disconnects");
-  for (run::Endpoint& ep : a.slots) {
-    if (!ep.busy()) continue;
-    const std::uint32_t task = static_cast<std::uint32_t>(ep.task);
-    ep.clear();
-    requeue_cell(task, reason, now);
-  }
-  a.slots.clear();
-}
-
-void Coordinator::check_task_deadlines(Clock::time_point now) {
-  for (std::size_t i = 0; i < agents_.size(); ++i) {
-    Agent& a = agents_[i];
-    if (a.state != Agent::State::kReady) continue;
-    bool expired = false;
-    for (run::Endpoint& ep : a.slots) {
-      if (!ep.deadline_expired(now)) continue;
-      expired = true;
-      const std::uint32_t task = static_cast<std::uint32_t>(ep.task);
-      ep.clear();
-      requeue_cell(task,
-                   "timed out after " +
-                       format_seconds(config_.task_timeout_seconds) +
-                       "s on agent " + a.addr.text(),
-                   now);
-    }
-    if (expired) {
-      // A cell can't be killed remotely: retire the whole connection.
-      connection_lost(i,
-                      "agent " + a.addr.text() +
-                          ": connection reset after a task timeout",
-                      now);
-    }
-  }
-}
-
-void Coordinator::check_heartbeats(Clock::time_point now) {
-  for (std::size_t i = 0; i < agents_.size(); ++i) {
-    Agent& a = agents_[i];
-    if (a.state != Agent::State::kReady || now < a.next_ping) continue;
-    if (a.pings_unanswered >= config_.heartbeat_misses) {
-      connection_lost(
-          i,
-          "agent " + a.addr.text() + ": missed " +
-              std::to_string(a.pings_unanswered) +
-              " heartbeats (last heartbeat " +
-              format_seconds(
-                  std::chrono::duration<double>(now - a.last_pong).count()) +
-              "s ago)",
-          now);
-      continue;
-    }
-    if (!a.conn->send(wire::encode_frame(wire::FrameType::kPing, a.ping_seq++,
-                                         0, {}))) {
-      connection_lost(
-          i, "agent " + a.addr.text() + ": send failed (connection lost)",
-          now);
-      continue;
-    }
-    ++a.pings_unanswered;
-    a.next_ping = after(now, config_.heartbeat_interval_seconds);
-  }
+void Coordinator::on_error(std::size_t task, const std::string& message) {
+  const auto flight = in_flight_.find(static_cast<std::uint32_t>(task));
+  if (flight == in_flight_.end()) return;
+  const std::string key = flight->second;
+  in_flight_.erase(flight);
+  const auto cell = cells_.find(key);
+  const std::string label = cell != cells_.end() ? cell->second.label : key;
+  // Deterministic failure: retrying reruns the same simulation.
+  fail_cell(key, "sweep cell \"" + label + "\" failed: " + message);
 }
 
 std::vector<run::AgentLiveness> Coordinator::fleet_liveness() const {
-  const Clock::time_point now = Clock::now();
-  std::vector<run::AgentLiveness> out;
-  out.reserve(agents_.size());
-  for (const Agent& a : agents_) {
-    run::AgentLiveness live;
-    live.addr = a.addr.text();
-    switch (a.state) {
-      case Agent::State::kReady:
-        live.state = a.pings_unanswered == 0 ? "alive" : "suspect";
-        break;
-      case Agent::State::kRejected:
-        live.state = "dead";
-        break;
-      case Agent::State::kBackoff:
-      case Agent::State::kConnecting:
-      case Agent::State::kHandshaking:
-        live.state = "connecting";
-        break;
-    }
-    if (a.ever_ponged) {
-      live.last_heartbeat_age_seconds =
-          std::chrono::duration<double>(now - a.last_pong).count();
-    }
-    if (a.last_error != "never attempted") live.last_error = a.last_error;
-    out.push_back(std::move(live));
-  }
-  return out;
+  return fleet_.liveness(Clock::now());
 }
 
 // ---- operational plane ------------------------------------------------

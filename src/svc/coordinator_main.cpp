@@ -103,7 +103,6 @@ svc::CoordinatorConfig parse_options(int argc, char** argv) {
   config.task_timeout_seconds = args.get_double_or("task-timeout", 0.0);
   ESCHED_REQUIRE(config.task_timeout_seconds >= 0.0,
                  "esched-coordinator: --task-timeout must be >= 0");
-  config.verbose = args.has("verbose");
 
   const char* env_http = std::getenv("ESCHED_HTTP_PORT");
   if (args.has("http-port") || (env_http != nullptr && *env_http != '\0')) {
@@ -116,7 +115,8 @@ svc::CoordinatorConfig parse_options(int argc, char** argv) {
   }
 
   obs::init_log_from_env();
-  if (config.verbose && std::getenv("ESCHED_LOG_LEVEL") == nullptr) {
+  const bool verbose = args.has("verbose");
+  if (verbose && std::getenv("ESCHED_LOG_LEVEL") == nullptr) {
     obs::set_log_level(obs::LogLevel::kDebug);
   }
   const std::string log_out = args.get_or("log-out", "");

@@ -13,6 +13,9 @@
 //    distinct cell, ever);
 //  * a second client with an overlapping grid triggers zero
 //    re-simulation and byte-identical results;
+//  * SIGKILLing one of two agents mid-sweep requeues its cells onto the
+//    survivor; the sweep stays byte-identical and every grid index is
+//    delivered exactly once;
 //  * a wrong auth token is rejected with a named error;
 //  * injected diskfull faults never change results.
 #include "svc/client.hpp"
@@ -21,6 +24,7 @@
 
 #include <csignal>
 #include <cstdlib>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -30,6 +34,7 @@
 #include <unistd.h>
 
 #include "net/socket.hpp"
+#include "obs/registry.hpp"
 #include "run/endpoint.hpp"
 #include "run/spec.hpp"
 #include "run/wire.hpp"
@@ -589,6 +594,79 @@ TEST(CoordinatorTest, HttpOperationalPlaneIsLiveAndResultsStayIdentical) {
   } else {
     ::unsetenv("ESCHED_LOG_LEVEL");
   }
+}
+
+/// The value on a Prometheus text line "<name> <value>" (0 when absent).
+double prometheus_value(const std::string& metrics, const std::string& name) {
+  const std::string key = "\n" + name + " ";
+  const std::size_t pos = metrics.find(key);
+  if (pos == std::string::npos) return 0.0;
+  return std::atof(metrics.c_str() + pos + key.size());
+}
+
+TEST(CoordinatorTest, AgentKilledMidSweepRequeuesAndDeliversEachIndexOnce) {
+  // The coordinator's agent-failure path: SIGKILL one of two agents
+  // after the first delivered cell. Its in-flight cells must requeue
+  // onto the survivor, the sweep must finish byte-identical, and the
+  // client must receive each grid index exactly once.
+  const auto sweep = six_cell_sweep();
+  const auto reference = reference_results(sweep);
+
+  // Agent A holds every outbound frame for a minute (netslow), so the
+  // cells it was given are certainly still in flight when it is killed;
+  // B answers at full speed and delivers the first cell.
+  std::unique_ptr<AgentProc> agent_a;
+  {
+    ScopedFaultEnv hold_answers("netslow:1,netslow_seconds:60");
+    agent_a = std::make_unique<AgentProc>(2);
+  }
+  AgentProc agent_b(2);
+  TempJournal journal("agentkill");
+  CoordProc coord;
+  coord.start_coordinator(
+      0, agent_a->addr().text() + "," + agent_b.addr().text(),
+      journal.path(), "", {"--http-port", "0"});
+
+  const bool counters_were_on = obs::counters_enabled();
+  obs::set_counters_enabled(true);
+  obs::Counter& duplicates =
+      obs::Registry::global().counter("svc.client_duplicate_drops");
+  const std::uint64_t duplicates_before = duplicates.value();
+
+  CoordinatorClient client(client_config(coord.addr()));
+  std::vector<std::size_t> progress;
+  client.set_progress([&](const run::SweepProgress& p) {
+    progress.push_back(p.done);
+    if (progress.size() == 1) agent_a->kill_now();
+  });
+  const auto results = client.run(sweep);
+  const std::uint64_t duplicate_deliveries =
+      duplicates.value() - duplicates_before;
+  obs::set_counters_enabled(counters_were_on);
+
+  expect_identical(reference, results, sweep);
+  EXPECT_EQ(duplicate_deliveries, 0u);
+  EXPECT_EQ(progress, (std::vector<std::size_t>{1, 2, 3, 4, 5, 6}));
+  EXPECT_EQ(client.last_stats().simulated_cells, 6u);
+
+  // The failure path really ran: the coordinator lost the connection and
+  // requeued work, and it is still trying to reach the dead agent.
+  const std::string metrics = http_get(coord.http_addr(), "/metrics");
+  EXPECT_GE(prometheus_value(metrics, "esched_net_disconnects"), 1.0)
+      << metrics;
+  EXPECT_GE(prometheus_value(metrics, "esched_net_cells_requeued"), 1.0)
+      << metrics;
+  const std::string healthz = http_get(coord.http_addr(), "/healthz");
+  EXPECT_NE(healthz.find("\"state\":\"connecting\""), std::string::npos)
+      << healthz;
+
+  // Each distinct cell was journaled once: no requeued cell ran twice to
+  // completion.
+  coord.kill_now();
+  std::size_t records = 0, distinct = 0;
+  journal_census(journal.path(), records, distinct);
+  EXPECT_EQ(records, 6u);
+  EXPECT_EQ(distinct, 6u);
 }
 
 TEST(CoordinatorTest, DeriveSweepIdIsDeterministicAndSpecSensitive) {
